@@ -21,6 +21,9 @@
 //     counter CI floors (scripts/bench_diff.py --floor).
 //   * BM_GeometryMemoSkewedMix — the same trace shape against the
 //     SimilarityModel geometry memo, policy vs strict-LRU twin.
+//   * BM_EditMap/{exact_key,fuzzy} — the EDIT term->concept mapper alone
+//     on the 64k-concept index: the layer a RELAX by term pays before
+//     the cache probe.
 //
 // All run closed-loop (submit a batch, wait for every future) over
 // worker-count args. Worker threads do the serving, so wall time is the
@@ -32,6 +35,7 @@
 // cost without coalescing" across the introduction of batch drain.
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <future>
@@ -44,10 +48,14 @@
 #include <benchmark/benchmark.h>
 
 #include "medrelax/datasets/kb_generator.h"
+#include "medrelax/datasets/query_generator.h"
 #include "medrelax/graph/geometry.h"
+#include "medrelax/matching/edit_matcher.h"
+#include "medrelax/matching/name_index.h"
 #include "medrelax/relax/similarity.h"
 #include "medrelax/serve/relaxation_service.h"
 #include "medrelax/serve/result_cache.h"
+#include "medrelax/text/normalize.h"
 
 using namespace medrelax;  // NOLINT — bench brevity
 
@@ -445,11 +453,12 @@ void BM_GeometryMemoSkewedMix(benchmark::State& state) {
 }
 BENCHMARK(BM_GeometryMemoSkewedMix)->Unit(benchmark::kMicrosecond);
 
-// Offline-image pipeline headline: BM_SnapshotBuild is the full offline
-// phase (Algorithm 1 + mapper + relaxer wiring) on a 64k-concept world;
+// Offline-image pipeline: BM_SnapshotBuild is the full offline phase
+// (Algorithm 1 + mapper + relaxer wiring) on a 64k-concept world;
 // BM_SnapshotLoadImage boots the identical serving state from the flat
-// image medrelax_ingest freezes. Their ratio is the O(1)-RELOAD claim —
-// the serving layer gates on load >= 50x faster than build.
+// image medrelax_ingest freezes. Most of the build is EDIT mapping of the
+// KB's instance names, so the load/build ratio moves with the mapper's
+// cost (~4.7x on a 4-CPU box since the exact-key probe; nothing gates it).
 
 Result<GeneratedWorld> BigWorld() {
   SnomedGeneratorOptions eks;
@@ -522,6 +531,90 @@ void BM_SnapshotLoadImage(benchmark::State& state) {
   state.SetLabel("concepts=64k");
 }
 BENCHMARK(BM_SnapshotLoadImage)->Unit(benchmark::kMillisecond);
+
+// The mapper layer on its own: EditDistanceMatcher::Map over the BigWorld
+// name index, on popularity-weighted mapping-workload surfaces split by
+// whether their normalized form is an exact index key (answered by the
+// hash probe) or not (trigram blocking + banded Levenshtein). Counters:
+// map_us per mapped term, and candidates_mean, the blocking set the
+// matcher verifies per term (0 on the exact path).
+struct EditMapRig {
+  std::unique_ptr<ConceptDag> dag;
+  std::unique_ptr<NameIndex> index;
+  std::vector<std::string> exact_terms;
+  std::vector<std::string> fuzzy_terms;
+};
+
+const EditMapRig* SharedEditMapRig() {
+  static const std::unique_ptr<EditMapRig> rig =
+      []() -> std::unique_ptr<EditMapRig> {
+    Result<GeneratedWorld> world = BigWorld();
+    if (!world.ok()) return nullptr;
+    MappingWorkloadOptions workload;
+    workload.num_queries = 400;
+    std::vector<MappingQuery> queries =
+        GenerateMappingQueries(world->eks, workload);
+    auto out = std::make_unique<EditMapRig>();
+    out->dag = std::make_unique<ConceptDag>(std::move(world->eks.dag));
+    out->index = std::make_unique<NameIndex>(out->dag.get());
+    for (const MappingQuery& query : queries) {
+      (out->index->FindExact(query.surface).empty() ? out->fuzzy_terms
+                                                    : out->exact_terms)
+          .push_back(query.surface);
+    }
+    return out;
+  }();
+  return rig.get();
+}
+
+void BM_EditMap(benchmark::State& state, bool exact_keys) {
+  const EditMapRig* rig = SharedEditMapRig();
+  if (rig == nullptr) {
+    state.SkipWithError("world generation failed");
+    return;
+  }
+  const std::vector<std::string>& terms =
+      exact_keys ? rig->exact_terms : rig->fuzzy_terms;
+  if (terms.empty()) {
+    state.SkipWithError("empty term set");
+    return;
+  }
+  const EditMatcherOptions options;
+  EditDistanceMatcher matcher(rig->index.get(), options);
+  // Off the clock: the first fuzzy lookup builds the trigram table, and
+  // the blocking set size is a deterministic count.
+  size_t candidates = 0;
+  for (const std::string& term : terms) {
+    benchmark::DoNotOptimize(matcher.Map(term));
+    if (rig->index->FindExact(term).empty()) {
+      candidates += rig->index
+                        ->CandidatesByTrigram(NormalizeTerm(term),
+                                              options.max_candidates)
+                        .size();
+    }
+  }
+
+  size_t mapped = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    for (const std::string& term : terms) {
+      benchmark::DoNotOptimize(matcher.Map(term));
+    }
+    mapped += terms.size();
+  }
+  const double elapsed_us =
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  state.SetItemsProcessed(static_cast<int64_t>(mapped));
+  state.counters["map_us"] = elapsed_us / static_cast<double>(mapped);
+  state.counters["candidates_mean"] =
+      static_cast<double>(candidates) / static_cast<double>(terms.size());
+  state.SetLabel("concepts=64k terms=" + std::to_string(terms.size()));
+}
+BENCHMARK_CAPTURE(BM_EditMap, exact_key, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_EditMap, fuzzy, false)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,5 +1,9 @@
 #include "medrelax/flat/image_writer.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <unordered_set>
 
@@ -65,8 +69,25 @@ Status FlatImageWriter::WriteToFile(const std::string& path) const {
   }
   header.payload_checksum = FnvChecksum(payload);
 
-  std::FILE* out = std::fopen(path.c_str(), "wb");
+  // Write a sibling temp file and rename it over `path`. A server may
+  // hold a MAP_SHARED view of the image already at `path`; truncating
+  // that inode in place would make its next read past the new end fault
+  // with SIGBUS. rename(2) only swaps the directory entry, so the old
+  // inode lives on until its last mapping goes. No fsync: this protects
+  // live readers, not crash durability.
+  static std::atomic<uint64_t> temp_sequence{0};
+  const std::string temp =
+      StrFormat("%s.tmp.%ld.%llu", path.c_str(),
+                static_cast<long>(::getpid()),
+                static_cast<unsigned long long>(temp_sequence++));
+  const int fd =
+      ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  std::FILE* out = fd < 0 ? nullptr : ::fdopen(fd, "wb");
   if (out == nullptr) {
+    if (fd >= 0) {
+      ::close(fd);
+      ::unlink(temp.c_str());
+    }
     return Status::InvalidArgument(
         StrFormat("cannot open '%s' for writing", path.c_str()));
   }
@@ -75,7 +96,13 @@ Status FlatImageWriter::WriteToFile(const std::string& path) const {
       (payload.empty() ||
        std::fwrite(payload.data(), payload.size(), 1, out) == 1);
   if (std::fclose(out) != 0 || !ok) {
+    ::unlink(temp.c_str());
     return Status::Internal(StrFormat("write to '%s' failed", path.c_str()));
+  }
+  if (::rename(temp.c_str(), path.c_str()) != 0) {
+    ::unlink(temp.c_str());
+    return Status::InvalidArgument(
+        StrFormat("cannot replace '%s'", path.c_str()));
   }
   return Status::OK();
 }

@@ -48,9 +48,11 @@ class FlatImageWriter {
   }
 
   /// Lays out and writes the complete image. Fails with InvalidArgument
-  /// on duplicate section ids and Internal on I/O errors. The file is
-  /// written whole; a failed write leaves whatever the filesystem kept —
-  /// callers ingest to a temp path and rename when they need atomicity.
+  /// on duplicate section ids or an unwritable/unreplaceable `path`, and
+  /// Internal on I/O errors. The image goes to a temp file in the same
+  /// directory, which is renamed over `path` once complete (and removed
+  /// on failure): `path` always names a whole image, and a process that
+  /// mapped the previous file keeps reading the old, unchanged inode.
   [[nodiscard]] Status WriteToFile(const std::string& path) const
       MEDRELAX_BLOCKING;
 

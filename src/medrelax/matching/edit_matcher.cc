@@ -1,5 +1,7 @@
 #include "medrelax/matching/edit_matcher.h"
 
+#include <vector>
+
 #include "medrelax/text/edit_distance.h"
 #include "medrelax/text/normalize.h"
 
@@ -9,6 +11,13 @@ std::optional<ConceptMatch> EditDistanceMatcher::Map(
     std::string_view term) const {
   std::string normalized = NormalizeTerm(term);
   if (normalized.empty()) return std::nullopt;
+
+  // An exact key is distance 0, which no candidate can beat, and entries
+  // sharing a surface tie on trigrams, so the scan below would stop at
+  // the lowest-index one: FindExact's first concept. The hash probe gives
+  // that answer without blocking or Levenshtein.
+  std::vector<ConceptId> exact = index_->FindExact(normalized);
+  if (!exact.empty()) return ConceptMatch{exact.front(), 1.0};
 
   size_t best_distance = options_.max_distance + 1;
   double best_tiebreak = -1.0;

@@ -22,6 +22,13 @@ struct EditMatcherOptions {
 /// EDIT mapping method of Section 7.2: approximate string matching with an
 /// edit-distance threshold. Exact hits (distance 0) win; otherwise the
 /// candidate with the smallest distance, Jaro-Winkler as tie-break.
+///
+/// Map probes the index's exact table first: a term whose normalized form
+/// is an indexed surface maps to FindExact's first concept with score 1.0
+/// in one hash probe. That is the lowest entry index carrying the
+/// surface, the candidate the scan picks whenever blocking keeps it
+/// within max_candidates. Only a miss pays trigram blocking and the
+/// banded Levenshtein over the candidates.
 class EditDistanceMatcher : public MappingFunction {
  public:
   /// Borrows `index`, which must outlive the matcher.

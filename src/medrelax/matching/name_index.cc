@@ -1,6 +1,7 @@
 #include "medrelax/matching/name_index.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "medrelax/text/normalize.h"
 
@@ -71,8 +72,17 @@ void NameIndex::TrigramTable::Build(const std::vector<NameEntry>& entries) {
   // in entry order, so pass 2 can replay the ids against per-entry gram
   // counts without probing the slot table a second time.
   offsets_.assign(1, 0);
+  // The id buffer is sized exactly up front: grown by doubling, its
+  // copies and freed blocks depend on the allocator's state at the time,
+  // and a lazily built table in a serving process then leaves a resident
+  // size that differs from one start to the next.
+  size_t total_grams = 0;
+  for (const NameEntry& entry : entries) {
+    const size_t length = entry.surface.size();
+    total_grams += length == 0 ? 0 : (length <= 3 ? 1 : length - 2);
+  }
   std::vector<uint32_t> ids;
-  ids.reserve(4 * entries.size());
+  ids.reserve(total_grams);
   for (const NameEntry& entry : entries) {
     ForEachTrigramKey(entry.surface, [&](uint32_t key) {
       const uint32_t id = Intern(key);
@@ -142,23 +152,26 @@ std::vector<ConceptId> NameIndex::FindExact(std::string_view surface) const {
 std::vector<size_t> NameIndex::CandidatesByTrigram(
     std::string_view normalized, size_t max_candidates) const {
   std::call_once(trigram_once_, [this] { trigram_postings_.Build(entries_); });
-  std::unordered_map<size_t, size_t> shared;
+  // Dense per-entry counters plus the list of entries they touched: one
+  // flat allocation per call instead of a node per touched entry, and
+  // only the kept head of the ranking is ever sorted.
+  std::vector<uint32_t> shared(entries_.size(), 0);
+  std::vector<uint32_t> touched;
   ForEachTrigramKey(normalized, [&](uint32_t gram) {
-    for (uint32_t entry : trigram_postings_.Find(gram)) ++shared[entry];
+    for (uint32_t entry : trigram_postings_.Find(gram)) {
+      if (shared[entry]++ == 0) touched.push_back(entry);
+    }
   });
-  std::vector<std::pair<size_t, size_t>> ranked(shared.begin(), shared.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  std::vector<size_t> out;
-  out.reserve(std::min(max_candidates, ranked.size()));
-  for (const auto& [entry, count] : ranked) {
-    (void)count;
-    if (out.size() >= max_candidates) break;
-    out.push_back(entry);
-  }
-  return out;
+  auto ranks_before = [&shared](uint32_t a, uint32_t b) {
+    if (shared[a] != shared[b]) return shared[a] > shared[b];
+    return a < b;
+  };
+  const auto keep = touched.begin() +
+                    static_cast<std::ptrdiff_t>(
+                        std::min(max_candidates, touched.size()));
+  std::nth_element(touched.begin(), keep, touched.end(), ranks_before);
+  std::sort(touched.begin(), keep, ranks_before);
+  return std::vector<size_t>(touched.begin(), keep);
 }
 
 }  // namespace medrelax

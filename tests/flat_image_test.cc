@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "medrelax/datasets/kb_generator.h"
 #include "medrelax/flat/format.h"
 #include "medrelax/flat/image_view.h"
+#include "medrelax/io/mmap_file.h"
 #include "medrelax/relax/frequency_model.h"
 #include "medrelax/serve/snapshot.h"
 
@@ -216,6 +218,83 @@ TEST(FlatImageRoundTrip, IngestOptionsRoundTripThroughTheMeta) {
   EXPECT_TRUE((*mapped)->options().use_exact_mapper);
   EXPECT_EQ((*mapped)->options().relaxation.top_k, 3u);
   EXPECT_EQ((*mapped)->options_fingerprint(), built->options_fingerprint());
+}
+
+// Re-ingesting to the path a server has mapped must not disturb the
+// mapping: the writer renames a fresh file over the path, so the old view
+// keeps the old inode, whole and unchanged, while a new open sees the new
+// image. Before, the writer truncated the live file in place and the old
+// view's next read past the new end faulted with SIGBUS.
+TEST(FlatImageLifecycle, RewritingAMappedPathLeavesTheOldViewIntact) {
+  const std::string path = testing::TempDir() + "flat_image_rewrite." +
+                           std::to_string(::getpid()) + ".img";
+  std::shared_ptr<Snapshot> first = BuildSmallSnapshot(7);
+  ASSERT_TRUE(first->WriteImage(path).ok());
+
+  Result<MappedFile> raw = MappedFile::Open(path);
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  Result<std::unique_ptr<FlatImageView>> view = FlatImageView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status();
+  Result<std::shared_ptr<Snapshot>> served = Snapshot::LoadFromImage(path);
+  ASSERT_TRUE(served.ok()) << served.status();
+  const flat::FlatMeta meta_before = (*view)->meta();
+  const ConceptId query = (*served)->ingestion().mappings.front().second;
+  const RelaxationOutcome before =
+      (*served)->relaxer().RelaxConcept(query, kNoContext);
+
+  // A different world written to the same path.
+  SnapshotOptions options;
+  options.relaxation.top_k = 2;
+  std::shared_ptr<Snapshot> second = BuildSmallSnapshot(11, options);
+  ASSERT_TRUE(second->WriteImage(path).ok());
+
+  // The old mapping still validates: its size matches its header and
+  // its payload matches its checksum.
+  std::span<const std::byte> bytes = raw->bytes();
+  ASSERT_GE(bytes.size(), sizeof(ImageHeader));
+  ImageHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  EXPECT_EQ(header.file_size, bytes.size());
+  EXPECT_EQ(header.payload_checksum,
+            flat::FnvChecksum(bytes.subspan(sizeof(ImageHeader))));
+  EXPECT_EQ(std::memcmp(&(*view)->meta(), &meta_before, sizeof(meta_before)),
+            0);
+
+  // ... and the snapshot served from it answers exactly as before.
+  const RelaxationOutcome after =
+      (*served)->relaxer().RelaxConcept(query, kNoContext);
+  EXPECT_EQ(after.instances, before.instances);
+  ASSERT_EQ(after.concepts.size(), before.concepts.size());
+  for (size_t i = 0; i < after.concepts.size(); ++i) {
+    EXPECT_EQ(after.concepts[i].concept_id, before.concepts[i].concept_id);
+    EXPECT_EQ(after.concepts[i].similarity, before.concepts[i].similarity);
+  }
+
+  // A fresh open of the path sees the new image.
+  Result<std::shared_ptr<Snapshot>> reloaded = Snapshot::LoadFromImage(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ((*reloaded)->options_fingerprint(), second->options_fingerprint());
+  EXPECT_NE((*reloaded)->options_fingerprint(), first->options_fingerprint());
+  EXPECT_EQ((*reloaded)->ingestion().mappings, second->ingestion().mappings);
+}
+
+TEST(FlatImageLifecycle, FailedReplaceLeavesNoTempFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) /
+                       ("flat_image_replace." + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  // The target is a directory, so the final rename fails after the temp
+  // file was written in full.
+  ASSERT_TRUE(fs::create_directories(dir / "target.img"));
+  Status written = BuildSmallSnapshot()->WriteImage((dir / "target.img").string());
+  EXPECT_FALSE(written.ok());
+  EXPECT_TRUE(written.IsInvalidArgument()) << written;
+  std::vector<std::string> left;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"target.img"});
+  fs::remove_all(dir);
 }
 
 TEST(FlatImageHardening, MissingFileIsNotFound) {
